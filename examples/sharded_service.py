@@ -38,7 +38,7 @@ def sharded_vs_monolithic(dataset: Dataset) -> None:
     # Small pages make the page-access effects visible at this toy scale: a
     # hot item's inverted list spans several pages per shard.
     mono = OrderedInvertedFile(dataset, page_size=512)
-    sharded = ShardedIndex(dataset, 4, max_workers=4, page_size=512)
+    sharded = ShardedIndex(dataset, 4, page_size=512)
     print(f"shards: {sharded.shard_record_counts()} records "
           f"({sharded.name}, partitioner {sharded.partitioner!r})")
 
@@ -58,7 +58,7 @@ def sharded_vs_monolithic(dataset: Dataset) -> None:
 
 
 def per_shard_updates(dataset: Dataset) -> None:
-    updatable = UpdatableShardedOIF(dataset, 4, max_workers=4)
+    updatable = UpdatableShardedOIF(dataset, 4)
     updatable.insert([["page00", "page99"], ["page99"]])
     print(f"\npending per shard after 2 inserts: {updatable.pending_per_shard()}")
     fresh = updatable.evaluate(Subset(frozenset(["page99"])))

@@ -27,7 +27,7 @@ import sys
 from typing import Sequence
 
 from repro import __version__
-from repro.baselines import InvertedFile, SignatureFile, UnorderedBTreeInvertedFile
+from repro.baselines import InvertedFile, UnorderedBTreeInvertedFile
 from repro.core import OrderedInvertedFile, QueryType, ShardedIndex
 from repro.core.query import expr_from_dict
 from repro.datasets import (
@@ -65,7 +65,6 @@ _INDEX_CLASSES = {
     "oif": OrderedInvertedFile,
     "if": InvertedFile,
     "ubt": UnorderedBTreeInvertedFile,
-    "sig": SignatureFile,
 }
 
 
@@ -200,8 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shard-backend", choices=("threads", "processes"), default="threads",
-        help="fan sharded queries out on threads (default) or a persistent "
-        "worker-process pool that sidesteps the GIL",
+        help="visit shards in the query's own worker thread (default) or on a "
+        "persistent worker-process pool that sidesteps the GIL",
     )
     serve.add_argument(
         "--shard-workers", type=_positive_int, default=None,

@@ -48,6 +48,7 @@ __all__ = [
     "leaf_for",
     "slice_ids",
     "split_limit",
+    "wire_item",
 ]
 
 
@@ -411,6 +412,19 @@ def leaf_for(predicate: str, items: Iterable[Item]) -> Leaf:
     return leaf_type(frozenset(items))
 
 
+def wire_item(item: object) -> Item:
+    """Check one item decoded from JSON: a scalar, never an array or object.
+
+    The rule every JSON decoder of items shares (expression leaves here, the
+    service's transaction and legacy query payloads), so a nested value is a
+    client error everywhere instead of unhashable in one place and silently
+    stringified in another.
+    """
+    if isinstance(item, (list, dict)):
+        raise QueryError(f"an item must be a string or a number, got {item!r}")
+    return item
+
+
 def expr_from_dict(payload: object) -> Expr:
     """Parse the JSON wire format back into an expression tree."""
     if not isinstance(payload, dict):
@@ -423,7 +437,7 @@ def expr_from_dict(payload: object) -> Expr:
         items = payload.get("items")
         if not isinstance(items, (list, tuple)) or not items:
             raise QueryError(f"{op!r} needs a non-empty 'items' list")
-        return _LEAF_TYPES[op](frozenset(items))
+        return _LEAF_TYPES[op](frozenset(wire_item(item) for item in items))
     if op in ("and", "or"):
         args = payload.get("args")
         if not isinstance(args, list) or not args:

@@ -26,7 +26,6 @@ from repro.core.shard.sharded import (
     AggregateIOStatistics,
     ShardedIndex,
     ShardQueryStat,
-    run_sharing_pool,
 )
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "ShardedIndex",
     "make_partitioner",
     "merge_cursors",
-    "run_sharing_pool",
     "stable_id_hash",
 ]

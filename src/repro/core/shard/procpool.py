@@ -1,8 +1,9 @@
 """Multiprocess shard execution: per-worker processes owning fixed shard sets.
 
-Threaded fan-out (:func:`~repro.core.shard.sharded.run_sharing_pool`) keeps
-page counts exact but buys little wall clock for CPU-bound probes — the GIL
-serializes the decode/intersect work.  Shards are shared-nothing (one private
+In-process fan-out (:meth:`~repro.core.shard.sharded.ShardedIndex.fanout_evaluate`)
+keeps page counts exact but visits the shards one after another — threads
+would buy little wall clock for CPU-bound probes, since the GIL serializes
+the decode/intersect work.  Shards are shared-nothing (one private
 storage environment each), so the process boundary is natural: this module
 runs each shard inside a long-lived worker process that holds the shard
 *open*, and ships only expressions in and columnar results out.

@@ -7,14 +7,14 @@ and building one complete index (an OIF by default) per shard, each with its
 *own* storage environment — its own pager, buffer pool and I/O counters.
 That independence is what the surrounding layers exploit:
 
-* shard builds and rebuilds are embarrassingly parallel and each sorts /
-  B-tree-loads a fraction of the data, so even a serial sharded build beats
-  the monolithic one on the super-linear parts of construction;
+* each shard build sorts / B-tree-loads a fraction of the data, so a
+  sharded build beats the monolithic one on the super-linear parts of
+  construction;
 * :meth:`execute` returns a
   :class:`~repro.core.shard.merge.MergedShardCursor` over the per-shard
   streaming cursors, so ``limit k`` still stops reading pages after ``k`` ids;
-* :meth:`fanout_evaluate` materializes per shard — optionally on a thread
-  pool — and reports a per-shard page/latency breakdown for the service layer;
+* :meth:`fanout_evaluate` materializes shard by shard and reports a
+  per-shard page/latency breakdown for the service layer;
 * :meth:`absorb` merges freshly inserted records by rebuilding *only the
   shards that received any*, which is what shrinks the OIF's batch-update
   merge cost.
@@ -25,20 +25,24 @@ cursor (or fanned-out evaluation) carries its own
 concurrency; pool-wide, :meth:`SetContainmentIndex.io_snapshot` sums the
 per-shard totals (:meth:`IOSnapshot.__add__`), so the experiment runner's
 phase-level numbers stay comparable with the monolithic indexes.
+
+Shards are visited in the calling thread, one after another; the only
+parallel backend is the worker-process pool
+(:class:`~repro.core.shard.procpool.ShardProcessPool`).  On CPython the
+shards' decode and intersect work holds the GIL, so a thread per shard adds
+hand-off cost without adding throughput; concurrency across *queries* comes
+from the serving layer's executor threads.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro import deadline as _deadline
 from repro.core.interfaces import SetContainmentIndex
 from repro.core.oif import OrderedInvertedFile
-from repro.core.query.expr import Expr, Leaf, slice_ids, split_limit
+from repro.core.query.expr import Equality, Expr, Subset, Superset, slice_ids, split_limit
 from repro.core.query.planner import Planner
 from repro.core.records import Dataset, Record
 from repro.core.shard.merge import FanoutPlan, MergedShardCursor
@@ -67,51 +71,6 @@ def _merge_sorted(streams: "Sequence[Sequence[int]]") -> list[int]:
         merged.extend(stream)
     merged.sort()
     return merged
-
-
-def run_sharing_pool(pool: "ThreadPoolExecutor | None", run, items: Sequence) -> list:
-    """Run ``run(item)`` for every item, borrowing ``pool`` without deadlocking.
-
-    Safe on a *shared* pool whose workers may themselves be blocked waiting
-    on fan-outs: every task is submitted, then each is either awaited (it got
-    a thread and, being lock-free, will finish) or — if ``Future.cancel()``
-    succeeds because no worker ever picked it up — executed inline by the
-    caller.  Progress is therefore guaranteed regardless of pool saturation,
-    which is what lets the serving layer share one executor pool between
-    query workers and shard fan-out instead of keeping a dedicated pool per
-    resident index.  Results come back in item order.
-    """
-    if pool is None or len(items) < 2:
-        return [run(item) for item in items]
-    futures = []
-    for item in items:
-        try:
-            # Each submission carries its own copy of the caller's trace
-            # context *and* the caller's deadline, so spans opened in pool
-            # workers nest under the submitting query and an expired query
-            # stops reading pages on every shard (both wraps are identity
-            # functions when tracing/deadlines are off).
-            futures.append((item, pool.submit(trace.wrap(_deadline.wrap(run)), item)))
-        except RuntimeError:
-            # The pool is shutting down; the remaining items run inline so a
-            # query already in flight still completes.
-            futures.append((item, None))
-    out = []
-    for position, (item, future) in enumerate(futures):
-        try:
-            if future is None or future.cancel():
-                out.append(run(item))
-            else:
-                out.append(future.result())
-        except BaseException:
-            # Don't abandon siblings on the shared pool: queued ones are
-            # cancelled, started ones are drained, so no work outlives the
-            # failed call (or its caller's lock scope).
-            for _, leftover in futures[position + 1:]:
-                if leftover is not None and not leftover.cancel():
-                    leftover.exception()
-            raise
-    return out
 
 
 class AggregateIOStatistics:
@@ -176,6 +135,33 @@ class ShardQueryStat:
     decoded_hits: int = 0
     decoded_misses: int = 0
 
+    @classmethod
+    def of(
+        cls, shard: int, matches: int, io: IOSnapshot, elapsed_ms: float
+    ) -> "ShardQueryStat":
+        """The stat of one shard's evaluation from its read-context delta."""
+        return cls(
+            shard=shard,
+            matches=matches,
+            page_accesses=io.page_reads,
+            elapsed_ms=elapsed_ms,
+            random_reads=io.random_reads,
+            sequential_reads=io.sequential_reads,
+            decoded_hits=io.decoded_hits,
+            decoded_misses=io.decoded_misses,
+        )
+
+    @property
+    def io(self) -> IOSnapshot:
+        """This shard's read counts as an :class:`IOSnapshot` (sums with ``+``)."""
+        return IOSnapshot(
+            page_reads=self.page_accesses,
+            random_reads=self.random_reads,
+            sequential_reads=self.sequential_reads,
+            decoded_hits=self.decoded_hits,
+            decoded_misses=self.decoded_misses,
+        )
+
     def as_dict(self) -> dict:
         return {
             "shard": self.shard,
@@ -216,9 +202,6 @@ class ShardedIndex(SetContainmentIndex):
         Optional builder for each shard's index; defaults to an
         :class:`OrderedInvertedFile` with ``index_kwargs`` forwarded.  Every
         shard must own a private environment, so passing ``env`` is rejected.
-    max_workers:
-        When > 1, shard (re)builds run on an ephemeral thread pool of this
-        size; ``None``/1 builds serially.
     """
 
     name = "ShardedOIF"
@@ -230,7 +213,6 @@ class ShardedIndex(SetContainmentIndex):
         *,
         strategy: "str | Partitioner" = "hash",
         factory: "ShardFactory | None" = None,
-        max_workers: "int | None" = None,
         **index_kwargs,
     ) -> None:
         if "env" in index_kwargs:
@@ -246,7 +228,6 @@ class ShardedIndex(SetContainmentIndex):
         self.env = None
         self._planner: "Planner | None" = None
         self.partitioner = make_partitioner(strategy, num_shards)
-        self.max_workers = max_workers
         #: The OIF options the shards were built with — what the process
         #: backend records in each shard image's state file so workers reopen
         #: with identical decode behavior.  Unknown for custom factories.
@@ -257,14 +238,10 @@ class ShardedIndex(SetContainmentIndex):
         self._factory: ShardFactory = factory or (
             lambda shard_dataset: OrderedInvertedFile(shard_dataset, **index_kwargs)
         )
-        groups = self.partitioner.split(dataset)
-        built = self._map_positions(
-            [position for position, group in enumerate(groups) if group],
-            lambda position: self._factory(Dataset(groups[position])),
-        )
-        self._shards: list["SetContainmentIndex | None"] = [None] * num_shards
-        for position, shard in built:
-            self._shards[position] = shard
+        self._shards: list["SetContainmentIndex | None"] = [
+            self._factory(Dataset(group)) if group else None
+            for group in self.partitioner.split(dataset)
+        ]
         self._stats = AggregateIOStatistics(self)
         template = self.live_shards[0]
         self.name = f"{template.name}x{num_shards}"
@@ -277,7 +254,6 @@ class ShardedIndex(SetContainmentIndex):
         *,
         strategy: "str | Partitioner" = "hash",
         factory: "ShardFactory | None" = None,
-        max_workers: "int | None" = None,
         **index_kwargs,
     ) -> "ShardedIndex":
         """Assemble a sharded index from already-built per-shard indexes.
@@ -295,7 +271,6 @@ class ShardedIndex(SetContainmentIndex):
         index.env = None
         index._planner = None
         index.partitioner = make_partitioner(strategy, len(shards))
-        index.max_workers = max_workers
         index._index_options = dict(index_kwargs) if factory is None else None
         index._procpool = None
         index._factory = factory or (
@@ -329,7 +304,7 @@ class ShardedIndex(SetContainmentIndex):
             len(shard.dataset) if shard is not None else 0 for shard in self._shards
         ]
 
-    # -- execution backend (threads vs processes) --------------------------------------
+    # -- execution backend (in-process vs processes) ---------------------------------
 
     @property
     def process_pool(self):
@@ -348,7 +323,7 @@ class ShardedIndex(SetContainmentIndex):
         self._procpool = pool
 
     def detach_process_pool(self) -> None:
-        """Fall back to in-process (threaded) fan-out; the pool stays usable."""
+        """Fall back to in-process fan-out; the pool stays usable."""
         self._procpool = None
 
     def _absorb_remote(self, remote, ctx: "ReadContext | None") -> None:
@@ -366,62 +341,16 @@ class ShardedIndex(SetContainmentIndex):
             ctx.absorb_snapshot(remote.io)
         trace.attach_rendered(remote.trace_tree)
 
-    def _map_positions(
-        self, positions: Sequence[int], build, max_workers: "int | None" = None
-    ) -> list[tuple[int, object]]:
-        """Run ``build(position)`` for every position, in parallel when asked.
-
-        ``max_workers`` overrides the index default for this call.  Each task
-        touches only its own shard's (fresh) environment, so the tasks share
-        no mutable state and a plain thread pool is safe.
-        """
-        workers = self.max_workers if max_workers is None else max_workers
-        if workers and workers > 1 and len(positions) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(positions)),
-                thread_name_prefix="repro-shard-build",
-            ) as pool:
-                results = list(pool.map(build, positions))
-        else:
-            results = [build(position) for position in positions]
-        return list(zip(positions, results))
-
-    # -- probe primitives (fan out + ordered merge) ----------------------------------
+    # -- probe primitives (answered through the fan-out in execute) ------------------
 
     def _probe_subset(self, items: frozenset, ctx: "ReadContext | None" = None) -> list[int]:
-        return self._fanned_probe(lambda shard, sub: shard._probe_subset(items, sub), ctx)
+        return sorted(self.execute(Subset(items), ctx=ctx))
 
     def _probe_equality(self, items: frozenset, ctx: "ReadContext | None" = None) -> list[int]:
-        return self._fanned_probe(lambda shard, sub: shard._probe_equality(items, sub), ctx)
+        return sorted(self.execute(Equality(items), ctx=ctx))
 
     def _probe_superset(self, items: frozenset, ctx: "ReadContext | None" = None) -> list[int]:
-        return self._fanned_probe(lambda shard, sub: shard._probe_superset(items, sub), ctx)
-
-    def _fanned_probe(self, probe, ctx: "ReadContext | None") -> list[int]:
-        # Shards are disjoint and each probe returns a sorted list, so an
-        # ordered merge reproduces exactly the unsharded answer.  Each shard
-        # gets a private sub-context (page ids are per page file, so one
-        # shared last-page-id would fake sequentiality across shards); the
-        # counts fold back into the caller's context.
-        streams = []
-        for shard in self.live_shards:
-            sub = ReadContext() if ctx is not None else None
-            streams.append(probe(shard, sub))
-            if ctx is not None and sub is not None:
-                ctx.absorb(sub)
-        return list(heapq.merge(*streams))
-
-    def probe(self, leaf: Leaf, ctx: "ReadContext | None" = None) -> Iterator[int]:
-        """Stream one predicate leaf by chaining the shards' streaming probes."""
-        for shard in self.live_shards:
-            sub = ReadContext() if ctx is not None else None
-            try:
-                yield from shard.probe(leaf, sub)
-            finally:
-                # Runs on exhaustion *and* on early close (GeneratorExit), so
-                # a limit-stopped stream still folds its partial reads back.
-                if ctx is not None and sub is not None:
-                    ctx.absorb(sub)
+        return sorted(self.execute(Superset(items), ctx=ctx))
 
     # -- execution -------------------------------------------------------------------
 
@@ -452,13 +381,13 @@ class ShardedIndex(SetContainmentIndex):
         are always exactly the unsharded ones; callers that need a
         layout-independent limited answer slice the sorted result instead,
         which is what the delta-aware wrappers and the service layer do
-        (:meth:`repro.core.updates._UpdatableBase.evaluate`).
+        (:meth:`repro.core.updates._UpdatableBase.measured_evaluate`).
 
         With a process pool attached, the shards evaluate eagerly in their
         worker processes instead of streaming lazily: each worker gets the
         whole slice bound pushed down as a per-shard ``limit`` (no shard can
         contribute more than ``offset + count`` ids), so the merged answer —
-        including a limited prefix — is byte-identical to the threaded
+        including a limited prefix — is byte-identical to the in-process
         stream's.  An explicit ``planner`` cannot cross the process boundary
         and falls back to in-process execution.
         """
@@ -496,88 +425,54 @@ class ShardedIndex(SetContainmentIndex):
         )
         return FanoutPlan(plans, count=count, offset=offset).explain()
 
-    def fanout_evaluate(
-        self, expr: Expr, pool: "ThreadPoolExecutor | None" = None
-    ) -> tuple[list[int], list[ShardQueryStat]]:
+    def fanout_evaluate(self, expr: Expr) -> tuple[list[int], list[ShardQueryStat]]:
         """Materialize ``expr`` shard by shard with a per-shard cost breakdown.
 
         Each shard evaluates through its own cursor — and therefore its own
         read context — so the per-shard page counts are exact even while
         other queries run against the same shards concurrently.  A top-level
         limit is applied *after* the ordered merge, matching the delta-aware
-        evaluation semantics of :meth:`repro.core.updates._UpdatableBase.evaluate`.
+        evaluation semantics of
+        :meth:`repro.core.updates._UpdatableBase.measured_evaluate`.
 
-        ``pool`` may be any shared executor, including the serving layer's
-        query pool: tasks are submitted and then either awaited or — when the
-        pool is saturated and never started them — cancelled and run inline
-        by the caller, so fan-out can never deadlock on pool exhaustion.
-
-        With a process pool attached, the shards evaluate in their worker
-        processes instead (``pool`` is ignored): results and per-shard page
-        counts are bit-identical to the threaded fan-out, the workers'
-        I/O snapshots are absorbed back into the shard totals, and any trace
-        spans the workers record are grafted under the calling query's span.
+        The shards run one after another in the calling thread.  With a
+        process pool attached they evaluate in their worker processes
+        instead: results and per-shard page counts are bit-identical to the
+        in-process fan-out, the workers' I/O snapshots are absorbed back into
+        the shard totals, and any trace spans the workers record are grafted
+        under the calling query's span.
         """
         inner, count, offset = split_limit(expr)
+        stats: list[ShardQueryStat] = []
+        streams = []
         procpool = self._procpool
         if procpool is not None:
             remotes = procpool.evaluate(inner, sort=True)
-            stats: list[ShardQueryStat] = []
-            streams = []
             for position in sorted(remotes):
                 remote = remotes[position]
                 self._absorb_remote(remote, None)
-                delta = remote.io
                 stats.append(
-                    ShardQueryStat(
-                        shard=position,
-                        matches=len(remote.ids),
-                        page_accesses=delta.page_reads,
-                        elapsed_ms=remote.elapsed_ms,
-                        random_reads=delta.random_reads,
-                        sequential_reads=delta.sequential_reads,
-                        decoded_hits=delta.decoded_hits,
-                        decoded_misses=delta.decoded_misses,
-                    )
+                    ShardQueryStat.of(position, len(remote.ids), remote.io, remote.elapsed_ms)
                 )
                 streams.append(remote.ids)
-            return slice_ids(_merge_sorted(streams), count, offset), stats
-        pairs = [
-            (position, shard)
-            for position, shard in enumerate(self._shards)
-            if shard is not None
-        ]
-
-        def run(pair: "tuple[int, SetContainmentIndex]") -> tuple[list[int], ShardQueryStat]:
-            position, shard = pair
-            started = time.perf_counter()
-            with trace.span("shard", shard=position):
-                cursor = shard.execute(inner)
-                ids = sorted(cursor.fetch_all())
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            delta = cursor.io_delta()
-            stat = ShardQueryStat(
-                shard=position,
-                matches=len(ids),
-                page_accesses=delta.page_reads,
-                elapsed_ms=elapsed_ms,
-                random_reads=delta.random_reads,
-                sequential_reads=delta.sequential_reads,
-                decoded_hits=delta.decoded_hits,
-                decoded_misses=delta.decoded_misses,
-            )
-            return ids, stat
-
-        outcomes = run_sharing_pool(pool, run, pairs)
-        merged = _merge_sorted([ids for ids, _ in outcomes])
-        return slice_ids(merged, count, offset), [stat for _, stat in outcomes]
+        else:
+            for position, shard in enumerate(self._shards):
+                if shard is None:
+                    continue
+                started = time.perf_counter()
+                with trace.span("shard", shard=position):
+                    cursor = shard.execute(inner)
+                    ids = sorted(cursor.fetch_all())
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                stats.append(ShardQueryStat.of(position, len(ids), cursor.io_delta(), elapsed_ms))
+                streams.append(ids)
+        return slice_ids(_merge_sorted(streams), count, offset), stats
 
     # -- updates ---------------------------------------------------------------------
 
     def absorb(
         self,
         fresh_records: Sequence[Record],
-        max_workers: "int | None" = None,
         removed_ids: "Iterable[int] | None" = None,
     ) -> AbsorbReport:
         """Merge ``fresh_records`` by rebuilding only the shards that get any.
@@ -587,8 +482,8 @@ class ShardedIndex(SetContainmentIndex):
         records all disappear reverts to an empty slot).  The untouched shards
         keep their indexes (and warm buffer pools) as-is — this is the
         per-shard counterpart of the monolithic ``UpdatableOIF.flush`` full
-        rebuild.  Rebuilds run on an ephemeral pool when ``max_workers`` (or
-        the index default) allows.
+        rebuild.  Every shard is rebuilt before any is swapped in, so a failed
+        rebuild leaves the index as it was.
         """
         fresh = list(fresh_records)
         removed = set(removed_ids or ())
@@ -615,7 +510,7 @@ class ShardedIndex(SetContainmentIndex):
             # exactly the build cost.
             return shard, shard.stats.snapshot()
 
-        built = self._map_positions(sorted(groups), rebuild, max_workers=max_workers)
+        built = [(position, rebuild(position)) for position in sorted(groups)]
         total_io = IOSnapshot()
         for position, (shard, build_io) in built:
             self._shards[position] = shard

@@ -26,11 +26,10 @@ from typing import Callable, Iterable
 
 from repro.baselines.inverted_file import InvertedFile
 from repro.concurrency import ReadWriteLock
-from repro.core.interfaces import QueryType, SetContainmentIndex
 from repro.core.items import Item
 from repro.core.oif import OrderedInvertedFile
 from repro.core.records import Dataset, Record
-from repro.core.shard import Partitioner, ShardedIndex
+from repro.core.shard import Partitioner, ShardedIndex, ShardQueryStat
 from repro.errors import QueryError
 from repro.obs import trace
 from repro.storage.kvstore import Environment
@@ -38,17 +37,20 @@ from repro.storage.stats import IOSnapshot
 
 
 class DeltaInvertedFile:
-    """Small, memory-resident inverted file holding not-yet-merged records."""
+    """Small, memory-resident buffer of not-yet-merged records.
+
+    The buffer is only ever read whole: queries check each buffered record
+    against the expression's per-record semantics
+    (:meth:`_UpdatableBase._merge_delta_and_slice`), and flushes merge
+    :attr:`records` into the disk index.
+    """
 
     def __init__(self) -> None:
-        self._lists: dict[Item, list[tuple[int, int]]] = {}
         self._records: dict[int, frozenset] = {}
 
     def add(self, record: Record) -> None:
-        """Index one fresh record."""
+        """Buffer one fresh record."""
         self._records[record.record_id] = record.items
-        for item in record.items:
-            self._lists.setdefault(item, []).append((record.record_id, record.length))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -58,14 +60,7 @@ class DeltaInvertedFile:
 
     def remove(self, record_id: int) -> frozenset:
         """Un-buffer one pending record (a delete caught it before any merge)."""
-        items = self._records.pop(record_id)
-        for item in items:
-            postings = [entry for entry in self._lists[item] if entry[0] != record_id]
-            if postings:
-                self._lists[item] = postings
-            else:
-                del self._lists[item]
-        return items
+        return self._records.pop(record_id)
 
     @property
     def records(self) -> list[Record]:
@@ -74,53 +69,7 @@ class DeltaInvertedFile:
 
     def clear(self) -> None:
         """Drop the buffer (after a successful merge)."""
-        self._lists.clear()
         self._records.clear()
-
-    # -- queries over the buffered records ------------------------------------------
-
-    def subset_query(self, items: Iterable[Item]) -> list[int]:
-        query = frozenset(items)
-        lists = [self._lists.get(item, []) for item in query]
-        if any(not postings for postings in lists):
-            return []
-        lists.sort(key=len)
-        result = {record_id for record_id, _ in lists[0]}
-        for postings in lists[1:]:
-            result &= {record_id for record_id, _ in postings}
-        return sorted(result)
-
-    def equality_query(self, items: Iterable[Item]) -> list[int]:
-        query = frozenset(items)
-        return sorted(
-            record_id
-            for record_id in self.subset_query(query)
-            if self._records[record_id] == query
-        )
-
-    def superset_query(self, items: Iterable[Item]) -> list[int]:
-        query = frozenset(items)
-        counts: dict[int, int] = {}
-        lengths: dict[int, int] = {}
-        for item in query:
-            for record_id, length in self._lists.get(item, []):
-                counts[record_id] = counts.get(record_id, 0) + 1
-                lengths[record_id] = length
-        return sorted(rid for rid, count in counts.items() if count == lengths[rid])
-
-    def query(self, query_type: "QueryType | str", items: Iterable[Item]) -> list[int]:
-        """Dispatch helper mirroring :class:`SetContainmentIndex.query`.
-
-        Goes through :meth:`QueryType.parse`, so the delta path shares the
-        disk path's validation (and its error message) instead of duplicating
-        string comparisons.
-        """
-        query_type = QueryType.parse(query_type)
-        if query_type is QueryType.SUBSET:
-            return self.subset_query(items)
-        if query_type is QueryType.EQUALITY:
-            return self.equality_query(items)
-        return self.superset_query(items)
 
 
 class ShardedDeltaBuffer:
@@ -129,8 +78,8 @@ class ShardedDeltaBuffer:
     Fresh records are routed by the owning index's partitioner on ``add``, so
     at flush time each shard's pending records are already grouped — the
     merge rebuilds exactly the shards with a non-empty buffer and leaves the
-    rest untouched.  The query/iteration surface aggregates over all buffers,
-    keeping :class:`_UpdatableBase`'s delta-aware paths oblivious to the
+    rest untouched.  :attr:`records` aggregates over all buffers, keeping
+    :class:`_UpdatableBase`'s delta-aware paths oblivious to the
     partitioning.
     """
 
@@ -166,16 +115,6 @@ class ShardedDeltaBuffer:
     def pending_per_shard(self) -> list[int]:
         """Buffered record count per shard position."""
         return [len(buffer) for buffer in self._buffers]
-
-    def query(self, query_type: "QueryType | str", items: Iterable[Item]) -> list[int]:
-        """Aggregate one predicate over every shard's buffer (ids ascending)."""
-        query_type = QueryType.parse(query_type)
-        out: list[int] = []
-        for buffer in self._buffers:
-            if len(buffer):
-                out.extend(buffer.query(query_type, items))
-        out.sort()
-        return out
 
 
 @dataclass(frozen=True)
@@ -268,17 +207,7 @@ class _UpdatableBase:
         """
         ids = list(record_ids)
         with self.rwlock.write_locked():
-            seen: set[int] = set()
-            for record_id in ids:
-                if record_id in seen:
-                    raise QueryError(f"record {record_id} deleted twice in one batch")
-                seen.add(record_id)
-                in_delta = record_id in self.delta
-                in_base = (
-                    self.dataset.has_id(record_id) and record_id not in self._tombstones
-                )
-                if not in_delta and not in_base:
-                    raise QueryError(f"cannot delete unknown record {record_id}")
+            self.check_deletable(ids)
             removed: list[frozenset] = []
             for record_id in ids:
                 if record_id in self.delta:
@@ -290,6 +219,22 @@ class _UpdatableBase:
                 for listener in self._update_listeners:
                     listener(removed)
             return removed
+
+    def check_deletable(self, ids: "list[int]") -> None:
+        """Raise :class:`~repro.errors.QueryError` unless :meth:`delete` accepts ``ids``.
+
+        Mutates nothing.  Callers that must act before the delete applies (the
+        write-ahead log) validate with this first, holding the write lock.
+        """
+        seen: set[int] = set()
+        for record_id in ids:
+            if record_id in seen:
+                raise QueryError(f"record {record_id} deleted twice in one batch")
+            seen.add(record_id)
+            in_delta = record_id in self.delta
+            in_base = self.dataset.has_id(record_id) and record_id not in self._tombstones
+            if not in_delta and not in_base:
+                raise QueryError(f"cannot delete unknown record {record_id}")
 
     @property
     def pending_updates(self) -> int:
@@ -316,48 +261,9 @@ class _UpdatableBase:
             records.extend(self.delta.records)
             return Dataset(records)
 
-    def _combined(self, index: SetContainmentIndex, query_type: str, items: Iterable[Item]) -> list[int]:
-        with self.rwlock.read_locked():
-            item_set = frozenset(items)
-            base = index.query(query_type, item_set)
-            if self._tombstones:
-                base = [rid for rid in base if rid not in self._tombstones]
-            fresh = self.delta.query(query_type, item_set) if len(self.delta) else []
-            return sorted(set(base) | set(fresh))
-
-    def query(self, query_type, items: Iterable[Item]) -> list[int]:
-        """Dispatch helper mirroring :meth:`SetContainmentIndex.query`."""
-        return self._combined(self.index, QueryType.parse(query_type).value, items)
-
-    # -- the delta-aware point predicates (shared by every wrapper) ------------------
-
-    def subset_query(self, items: Iterable[Item]) -> list[int]:
-        return self._combined(self.index, "subset", items)
-
-    def equality_query(self, items: Iterable[Item]) -> list[int]:
-        return self._combined(self.index, "equality", items)
-
-    def superset_query(self, items: Iterable[Item]) -> list[int]:
-        return self._combined(self.index, "superset", items)
-
     def evaluate(self, expr) -> list[int]:
-        """Answer a query expression over the disk index *and* the delta buffer.
-
-        The base index evaluates the expression through its planner/cursor
-        machinery; the buffered records — memory resident and few — are
-        checked with the expression's per-record semantics.  A ``limit`` is
-        applied only after merging, so a buffered record cannot be shadowed
-        by an early-stopping disk cursor.
-        """
-        from repro.core.query.expr import Expr, split_limit
-
-        if not isinstance(expr, Expr):
-            raise QueryError(f"evaluate() needs a query expression, got {expr!r}")
-        with self.rwlock.read_locked():
-            normalized, count, offset = split_limit(expr)
-            return self._merge_delta_and_slice(
-                self.index.evaluate(normalized), normalized, count, offset
-            )
+        """Answer a query expression over the disk index *and* the delta buffer."""
+        return self.measured_evaluate(expr)[0]
 
     def flush(self) -> UpdateReport:
         """Merge the delta buffer into the disk index, exclusively.
@@ -374,14 +280,22 @@ class _UpdatableBase:
     def _flush_locked(self) -> UpdateReport:
         raise NotImplementedError
 
-    def measured_evaluate(self, expr) -> "tuple[list[int], IOSnapshot]":
-        """Like :meth:`evaluate`, plus the exact I/O delta of this query.
+    def measured_evaluate(
+        self, expr
+    ) -> "tuple[list[int], IOSnapshot, tuple[ShardQueryStat, ...] | None]":
+        """Answer ``expr`` with its exact I/O: ``(ids, io_delta, shard_stats)``.
 
-        The disk index evaluates through a cursor whose read context is
-        charged with exactly this traversal, so the returned
-        :class:`~repro.storage.stats.IOSnapshot` stays correct when many
-        queries run concurrently on the same handle; the delta-buffer merge
-        is memory resident and costs no pages.
+        The base index evaluates the expression through its planner/cursor
+        machinery; the buffered records — memory resident and few — are
+        checked with the expression's per-record semantics at zero page cost.
+        A ``limit`` is applied only after merging, so a buffered record cannot
+        be shadowed by an early-stopping disk cursor.
+
+        ``io_delta`` is read from the traversal's own read context(s), so it
+        stays correct when many queries run concurrently on the same handle.
+        A sharded base index is materialized shard by shard
+        (:meth:`ShardedIndex.fanout_evaluate`) and ``shard_stats`` carries the
+        per-shard breakdown; it is ``None`` for a monolithic index.
         """
         from repro.core.query.expr import Expr, split_limit
 
@@ -389,11 +303,18 @@ class _UpdatableBase:
             raise QueryError(f"measured_evaluate() needs a query expression, got {expr!r}")
         with self.rwlock.read_locked():
             normalized, count, offset = split_limit(expr)
-            cursor = self.index.execute(normalized)
-            with trace.span("fetch", index=self.index.name):
-                base = sorted(cursor.fetch_all())
+            shard_stats = None
+            if isinstance(self.index, ShardedIndex):
+                base, stats = self.index.fanout_evaluate(normalized)
+                shard_stats = tuple(stats)
+                io_delta = sum((stat.io for stat in shard_stats), IOSnapshot())
+            else:
+                cursor = self.index.execute(normalized)
+                with trace.span("fetch", index=self.index.name):
+                    base = sorted(cursor.fetch_all())
+                io_delta = cursor.io_delta()
             ids = self._merge_delta_and_slice(base, normalized, count, offset)
-            return ids, cursor.io_delta()
+            return ids, io_delta, shard_stats
 
     def _merge_delta_and_slice(
         self, base: list[int], normalized, count: "int | None", offset: int
@@ -512,9 +433,7 @@ class UpdatableShardedOIF(_UpdatableBase):
     Inserts route to the delta buffer of the shard that will own the record
     (same deterministic partitioner as the index), so :meth:`flush` merges by
     rebuilding *only the shards with pending records* — typically a fraction
-    of the monolithic ``UpdatableOIF.flush`` rebuild.  With ``max_workers``
-    (or a pool-sized default from the service layer) the affected shards
-    rebuild concurrently.
+    of the monolithic ``UpdatableOIF.flush`` rebuild.
     """
 
     def __init__(
@@ -523,29 +442,18 @@ class UpdatableShardedOIF(_UpdatableBase):
         num_shards: int = 4,
         *,
         strategy: str = "hash",
-        max_workers: "int | None" = None,
         env_factory: "Callable[[], Environment] | None" = None,
         **oif_kwargs,
     ) -> None:
         super().__init__(dataset)
         self._oif_kwargs = dict(oif_kwargs)
         self._env_factory = env_factory
-        if env_factory is not None:
-            self.index = ShardedIndex(
-                dataset,
-                num_shards,
-                strategy=strategy,
-                max_workers=max_workers,
-                factory=_shard_factory(env_factory, self._oif_kwargs),
-            )
-        else:
-            self.index = ShardedIndex(
-                dataset,
-                num_shards,
-                strategy=strategy,
-                max_workers=max_workers,
-                **self._oif_kwargs,
-            )
+        shard_options = (
+            {"factory": _shard_factory(env_factory, self._oif_kwargs)}
+            if env_factory is not None
+            else self._oif_kwargs
+        )
+        self.index = ShardedIndex(dataset, num_shards, strategy=strategy, **shard_options)
         self.delta = ShardedDeltaBuffer(self.index.partitioner)
 
     @classmethod
@@ -574,27 +482,22 @@ class UpdatableShardedOIF(_UpdatableBase):
         """Buffered record count per shard position (flush planning, /stats)."""
         return self.delta.pending_per_shard()
 
-    def flush(self, max_workers: "int | None" = None) -> UpdateReport:
+    def _flush_locked(self) -> UpdateReport:
         """Merge the per-shard deltas by rebuilding only the affected shards."""
-        with self.rwlock.write_locked():
-            merged_count = len(self.delta) + len(self._tombstones)
-            start = time.perf_counter()
-            report = self.index.absorb(
-                self.delta.records,
-                max_workers=max_workers,
-                removed_ids=self._tombstones,
-            )
-            elapsed = time.perf_counter() - start
-            self.dataset = self.index.dataset
-            self.delta.clear()
-            self._tombstones.clear()
-            return UpdateReport(
-                index_name=self.index.name,
-                records_merged=merged_count,
-                merge_seconds=elapsed,
-                page_writes=report.io.page_writes,
-                page_reads=report.io.page_reads,
-            )
+        merged_count = len(self.delta) + len(self._tombstones)
+        start = time.perf_counter()
+        report = self.index.absorb(self.delta.records, removed_ids=self._tombstones)
+        elapsed = time.perf_counter() - start
+        self.dataset = self.index.dataset
+        self.delta.clear()
+        self._tombstones.clear()
+        return UpdateReport(
+            index_name=self.index.name,
+            records_merged=merged_count,
+            merge_seconds=elapsed,
+            page_writes=report.io.page_writes,
+            page_reads=report.io.page_reads,
+        )
 
     @property
     def process_pool(self):
@@ -614,24 +517,6 @@ class UpdatableShardedOIF(_UpdatableBase):
     def detach_process_pool(self):
         """Detach and return the process pool (does not close it)."""
         return self.index.detach_process_pool()
-
-    def evaluate_detail(self, expr, pool=None):
-        """Like :meth:`evaluate`, plus the per-shard cost breakdown.
-
-        The shards are materialized through
-        :meth:`ShardedIndex.fanout_evaluate` (concurrently when ``pool`` is
-        given); buffered delta records merge in with zero page cost and the
-        top-level limit slices the combined, sorted stream — identical
-        semantics to the base ``evaluate``.
-        """
-        from repro.core.query.expr import Expr, split_limit
-
-        if not isinstance(expr, Expr):
-            raise QueryError(f"evaluate_detail() needs a query expression, got {expr!r}")
-        with self.rwlock.read_locked():
-            normalized, count, offset = split_limit(expr)
-            base, shard_stats = self.index.fanout_evaluate(normalized, pool=pool)
-            return self._merge_delta_and_slice(base, normalized, count, offset), shard_stats
 
 
 class UpdatableIF(_UpdatableBase):

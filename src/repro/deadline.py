@@ -18,9 +18,9 @@ half-charged when the deadline fires.
 
 Propagation:
 
-* **threads** — :func:`wrap` captures the submitting thread's deadline so
-  shard fan-out tasks running on a shared pool inherit it (the fan-out layer
-  composes it with :func:`repro.obs.trace.wrap`);
+* **in-process** — a query's shards run in the thread that armed the
+  deadline and see it directly; :func:`wrap` carries it to work handed to
+  another thread;
 * **processes** — a deadline cannot cross the process boundary as an
   absolute monotonic instant; the parent ships the *remaining* budget in
   milliseconds and each worker arms a fresh local deadline from it
@@ -110,9 +110,8 @@ def wrap(fn: Callable) -> Callable:
     """Capture the caller's deadline for execution on another thread.
 
     Identity when no deadline is armed (zero overhead); otherwise the
-    returned callable arms the captured deadline around ``fn`` — used by the
-    shard fan-out so tasks on a shared pool inherit the submitting query's
-    deadline.
+    returned callable arms the captured deadline around ``fn``, so work
+    submitted to a pool inherits the submitting query's deadline.
     """
     deadline = _CURRENT.get()
     if deadline is None:

@@ -392,12 +392,17 @@ class DurableIndex:
             return ids
 
     def delete(self, record_ids: "Iterable[int]") -> "list[frozenset]":
-        """Apply (validating), then log, one delete batch."""
+        """Validate, log, then apply one delete batch.
+
+        The same order as :meth:`insert`: a batch the WAL could not record is
+        never applied, so a failed (unacknowledged) delete leaves live answers
+        equal to what a reopen would recover.
+        """
         ids = list(record_ids)
         with self._inner.rwlock.write_locked():
-            removed = self._inner.delete(ids)
+            self._inner.check_deletable(ids)
             self.store.log_delete(self._inner, ids)
-            return removed
+            return self._inner.delete(ids)
 
     def checkpoint(self, force: bool = False) -> dict:
         """Flush pending deltas and publish a new on-disk generation.
@@ -509,7 +514,6 @@ def open_index(
     *,
     fsync: "str | None" = None,
     cache_bytes: "int | None" = None,
-    max_workers: "int | None" = None,
 ) -> DurableIndex:
     """Reopen a persisted index: load pages, rebuild state, replay the WAL.
 
@@ -528,9 +532,7 @@ def open_index(
             _sweep_stale_generations(
                 _shard_dir(directory, position), keep=manifest["generation"]
             )
-        handle = _open_sharded(
-            directory, manifest, env_cache, options, env_factory, max_workers
-        )
+        handle = _open_sharded(directory, manifest, env_cache, options, env_factory)
     elif manifest["kind"] == KIND_OIF:
         handle = _open_monolithic(directory, manifest, env_cache, options, env_factory)
     else:
@@ -570,7 +572,7 @@ def _open_monolithic(directory, manifest, cache_bytes, options, env_factory):
     )
 
 
-def _open_sharded(directory, manifest, cache_bytes, options, env_factory, max_workers):
+def _open_sharded(directory, manifest, cache_bytes, options, env_factory):
     shards: "list[OrderedInvertedFile | None]" = [None] * manifest["shards"]
     records: list[Record] = []
     for position in manifest["shard_positions"]:
@@ -589,7 +591,6 @@ def _open_sharded(directory, manifest, cache_bytes, options, env_factory, max_wo
         factory=lambda shard_dataset: OrderedInvertedFile(
             shard_dataset, env=env_factory(), **options
         ),
-        max_workers=max_workers,
     )
     return UpdatableShardedOIF.from_existing(
         index, dataset, env_factory=env_factory, **options

@@ -12,7 +12,7 @@ rebuild swaps take the exclusive write side.
 Lifecycle:
 
 * ``create`` builds an index of any registered kind (OIF, IF, unordered
-  B-tree, signature file, naive scan) over a dataset; with a ``data_dir``
+  B-tree, naive scan) over a dataset; with a ``data_dir``
   configured, OIF indexes are additionally *persisted* — page images,
   manifest and a write-ahead log under ``data_dir/<name>/`` — so a restarted
   server reopens them in seconds instead of rebuilding from the dataset;
@@ -36,14 +36,12 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator
 
 from repro.baselines.naive import NaiveScanIndex
-from repro.baselines.signature_file import SignatureFile
 from repro.baselines.unordered_btree import UnorderedBTreeInvertedFile
 from repro.concurrency import ReadWriteLock
-from repro.core.interfaces import QueryType, SetContainmentIndex
+from repro.core.interfaces import SetContainmentIndex
 from repro.core.items import Item
 from repro.core.records import Dataset
 from repro.core.shard import ShardProcessPool, ShardQueryStat
@@ -69,18 +67,25 @@ from repro.storage.stats import IOSnapshot
 
 #: Index kinds the manager can build.  ``oif`` and ``if`` are updatable (they
 #: wrap the delta-buffer machinery); the rest are static baselines.
-INDEX_KINDS = ("oif", "if", "ubt", "sig", "naive")
+INDEX_KINDS = ("oif", "if", "ubt", "naive")
 
 _STATIC_CLASSES = {
     "ubt": UnorderedBTreeInvertedFile,
-    "sig": SignatureFile,
     "naive": NaiveScanIndex,
 }
 
-#: How sharded entries fan queries out: in-process threads (exact but
-#: GIL-bound) or a persistent worker-process pool (see
+#: How sharded entries fan queries out: ``"threads"`` visits the shards one
+#: after another in the thread that runs the query (the executor's worker);
+#: ``"processes"`` hands them to a persistent worker-process pool (see
 #: :class:`repro.core.shard.ShardProcessPool`).
 SHARD_BACKENDS = ("threads", "processes")
+
+
+def _check_positive_int(name: str, value) -> None:
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, int) or value < 1
+    ):
+        raise ServiceError(f"{name!r} must be a positive integer, got {value!r}")
 
 
 def _unwrap(handle):
@@ -176,14 +181,14 @@ class ManagedIndex:
     def _build_handle(self, dataset: Dataset):
         options = dict(self.options)
         shards = options.pop("shards", None)
-        build_workers = options.pop("build_workers", None)
-        for option_name, value in (("shards", shards), ("build_workers", build_workers)):
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int) or value < 1
-            ):
-                raise ServiceError(
-                    f"{option_name!r} must be a positive integer, got {value!r}"
-                )
+        for option_name in ("shards", "page_size", "cache_bytes"):
+            _check_positive_int(option_name, self.options.get(option_name))
+        page_size = options.get("page_size", DEFAULT_PAGE_SIZE)
+        cache_bytes = options.get("cache_bytes", PAPER_CACHE_BYTES)
+        if cache_bytes < page_size:
+            raise ServiceError(
+                f"'cache_bytes' ({cache_bytes}) cannot hold one {page_size}-byte page"
+            )
         sharded = bool(shards and shards > 1)
         if sharded and self.kind != "oif":
             raise ServiceError(
@@ -194,23 +199,13 @@ class ManagedIndex:
             # partitioning request — fail loudly instead.
             if "strategy" in options:
                 raise ServiceError("the 'strategy' option requires 'shards' > 1")
-            if build_workers is not None:
-                raise ServiceError("the 'build_workers' option requires 'shards' > 1")
         if self.kind == "oif":
             env_factory = None
             if self.catalog_envs:
-                page_size = options.get("page_size", DEFAULT_PAGE_SIZE)
-                cache_bytes = options.get("cache_bytes", PAPER_CACHE_BYTES)
                 env_factory = durable_env_factory(page_size, cache_bytes)
             if sharded:
-                # Shard builds (and later rebuild swaps / flushes) run
-                # concurrently; by default one worker per shard.
                 handle = UpdatableShardedOIF(
-                    dataset,
-                    shards,
-                    max_workers=build_workers or shards,
-                    env_factory=env_factory,
-                    **options,
+                    dataset, shards, env_factory=env_factory, **options
                 )
             else:
                 handle = UpdatableOIF(dataset, env_factory=env_factory, **options)
@@ -241,7 +236,7 @@ class ManagedIndex:
             )
         persist_options = {
             key: value for key, value in self.options.items()
-            if key not in ("shards", "strategy", "build_workers")
+            if key not in ("shards", "strategy")
         }
         with self.lock.write_locked():
             self._handle = persist(
@@ -274,7 +269,7 @@ class ManagedIndex:
         pool_options = {
             key: value
             for key, value in self.options.items()
-            if key not in ("shards", "strategy", "build_workers")
+            if key not in ("shards", "strategy")
         }
         pool = ShardProcessPool(
             inner.index, self.shard_workers, options=pool_options
@@ -369,18 +364,13 @@ class ManagedIndex:
 
     # -- serving operations ----------------------------------------------------------
 
-    def query(self, query_type: "QueryType | str", items: Iterable[Item]) -> list[int]:
-        """Answer one containment query (delta-aware for updatable kinds)."""
-        with self.lock.read_locked():
-            return self._handle.query(query_type, items)
-
     def evaluate(self, expr) -> list[int]:
         """Answer one query expression (delta-aware for updatable kinds)."""
         with self.lock.read_locked():
             return self._handle.evaluate(expr)
 
     def measured_expr(
-        self, expr, fanout_pool: "ThreadPoolExecutor | None" = None
+        self, expr
     ) -> "tuple[tuple[int, ...], IOSnapshot, tuple[ShardQueryStat, ...] | None]":
         """Answer an expression: ``(record_ids, io_delta, shard_stats)``.
 
@@ -391,27 +381,13 @@ class ManagedIndex:
         ``None`` otherwise.
 
         Holds only the *read* side of the entry lock, so any number of
-        queries evaluate concurrently.  Sharded handles fan out on
-        ``fanout_pool`` (typically the query executor's own pool — see
-        :func:`repro.core.shard.run_sharing_pool` for why sharing it cannot
-        deadlock); without one the shards evaluate serially.
+        queries evaluate concurrently; a sharded handle visits its shards in
+        the calling thread (or in its worker processes).
         """
         with self.lock.read_locked():
-            if isinstance(_unwrap(self._handle), UpdatableShardedOIF):
-                record_ids, shard_stats = self._handle.evaluate_detail(
-                    expr, pool=fanout_pool
-                )
-                delta = IOSnapshot(
-                    page_reads=sum(stat.page_accesses for stat in shard_stats),
-                    random_reads=sum(stat.random_reads for stat in shard_stats),
-                    sequential_reads=sum(stat.sequential_reads for stat in shard_stats),
-                    decoded_hits=sum(stat.decoded_hits for stat in shard_stats),
-                    decoded_misses=sum(stat.decoded_misses for stat in shard_stats),
-                )
-                return tuple(record_ids), delta, tuple(shard_stats)
             if self.supports_updates:
-                record_ids, delta = self._handle.measured_evaluate(expr)
-                return tuple(record_ids), delta, None
+                record_ids, delta, shard_stats = self._handle.measured_evaluate(expr)
+                return tuple(record_ids), delta, shard_stats
             result = self._handle.measured_execute(expr)
             delta = IOSnapshot(
                 page_reads=result.page_accesses,
@@ -422,18 +398,12 @@ class ManagedIndex:
             )
             return result.record_ids, delta, None
 
-    def measured_query(
-        self, query_type: "QueryType | str", items: Iterable[Item]
-    ) -> "tuple[tuple[int, ...], IOSnapshot, tuple[ShardQueryStat, ...] | None]":
-        """Point-predicate :meth:`measured_expr`."""
-        return self.measured_expr(QueryType.parse(query_type).leaf(items))
-
     def close(self) -> None:
         """Release per-entry resources.
 
         Durable entries own open WAL file handles through their store;
         process-backend entries own their worker pool; plain entries own
-        nothing (fan-out borrows the caller's pool) and close as a no-op.
+        nothing and close as a no-op.
         """
         self.close_shard_pool()
         if self.is_durable:
@@ -744,7 +714,7 @@ class IndexManager:
                     if store.manifest.get("strategy", "hash") != "hash":
                         options["strategy"] = store.manifest["strategy"]
                 # The manager-wide process backend applies only to entries it
-                # can serve (sharded); monolithic recoveries stay threaded.
+                # can serve (sharded); monolithic recoveries stay in-process.
                 backend = (
                     self.shard_backend
                     if options.get("shards", 0) and options["shards"] > 1
@@ -857,7 +827,7 @@ class IndexManager:
         A clean shutdown checkpoints every durable index so the next open is
         a pure page load with an empty WAL; pass ``checkpoint=False`` to
         skip that (crash-simulation paths).  Plain entries own no resources
-        (fan-out shares the caller's executor pool) and close as a no-op.
+        and close as a no-op.
         """
         for entry in self:
             if checkpoint and entry.is_durable and not entry.dropped:

@@ -66,6 +66,7 @@ from repro.core.query.expr import (
     Or,
     expr_from_dict,
     leaf_for,
+    wire_item,
 )
 from repro.core.records import Dataset
 from repro.datasets.io import read_transactions
@@ -509,7 +510,8 @@ class ServiceServer:
         ):
             raise ServiceError("'transactions' must be a non-empty list of item lists")
         return [
-            frozenset(str(item) for item in transaction) for transaction in transactions
+            frozenset(str(wire_item(item)) for item in transaction)
+            for transaction in transactions
         ]
 
     @staticmethod
@@ -534,7 +536,7 @@ class ServiceServer:
         items = payload.get("items")
         if not isinstance(items, list) or not items:
             raise ServiceError("'items' must be a non-empty list of query items")
-        return frozenset(str(item) for item in items)
+        return frozenset(str(wire_item(item)) for item in items)
 
     @classmethod
     def _expr(cls, payload: dict) -> Expr:

@@ -22,6 +22,7 @@ from repro.durability import (
     read_manifest,
 )
 from repro.errors import DurabilityError, StorageError
+from repro.core.interfaces import QueryType
 
 from tests.conftest import PAPER_TRANSACTIONS, make_skewed_transactions
 
@@ -40,7 +41,7 @@ def build_durable(directory: str, *, shards: int = 1, **oif_kwargs) -> DurableIn
 
 def all_answers(handle) -> dict:
     return {
-        (query_type, item): tuple(handle.query(query_type, {item}))
+        (query_type, item): tuple(handle.evaluate(QueryType.parse(query_type).leaf({item})))
         for query_type in ("subset", "equality", "superset")
         for item in ITEMS + ["new1", "new2"]
     }
@@ -116,8 +117,8 @@ def test_page_accounting_equal_live_vs_reopened_on_cold_pool(tmp_path):
     expr = leaf_for("subset", frozenset({"a", "b"}))
     live.index.env.drop_cache()
     reopened.index.env.drop_cache()
-    live_ids, live_io = live.measured_evaluate(expr)
-    reopened_ids, reopened_io = reopened.measured_evaluate(expr)
+    live_ids, live_io, _ = live.measured_evaluate(expr)
+    reopened_ids, reopened_io, _ = reopened.measured_evaluate(expr)
     assert reopened_ids == live_ids
     assert reopened_io.page_reads == live_io.page_reads
     assert reopened_io.random_reads == live_io.random_reads
@@ -179,6 +180,31 @@ def test_persist_refuses_an_existing_directory(tmp_path):
     handle = UpdatableOIF(dataset, env_factory=durable_env_factory(4096, 32 * 1024))
     with pytest.raises(DurabilityError, match="already holds"):
         persist(directory, handle)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_failed_delete_log_leaves_live_answers_as_recovered(tmp_path, shards, monkeypatch):
+    """A delete the WAL could not record is neither acknowledged nor applied."""
+    directory = str(tmp_path / "idx")
+    durable = build_durable(directory, shards=shards)
+    durable.insert([{"new1", "a"}])
+    before = all_answers(durable)
+
+    def failing_log_delete(handle, ids):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(durable.store, "log_delete", failing_log_delete)
+    with pytest.raises(OSError, match="disk full"):
+        durable.delete([101])
+    assert all_answers(durable) == before
+    assert durable.pending_deletes == 0
+    durable.close()
+
+    reopened = open_index(directory)
+    try:
+        assert all_answers(reopened) == before
+    finally:
+        reopened.close()
 
 
 def test_delete_of_max_id_does_not_recycle_ids(tmp_path):

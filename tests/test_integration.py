@@ -22,6 +22,8 @@ from repro.datasets import (
 )
 from repro.experiments import ExperimentRunner, if_factory, oif_factory
 from repro.workloads import WorkloadGenerator
+from repro.core.interfaces import QueryType
+from repro.core.query import Subset, Superset
 
 
 class TestGenerateIndexQueryPipeline:
@@ -41,9 +43,9 @@ class TestGenerateIndexQueryPipeline:
         for query_type in ("subset", "equality", "superset"):
             workload = generator.workload(query_type, sizes=[2, 3], queries_per_size=3)
             for query in workload:
-                expected = oracle.query(query_type, query.items)
-                assert oif.query(query_type, query.items) == expected
-                assert inverted.query(query_type, query.items) == expected
+                expected = oracle.evaluate(QueryType.parse(query_type).leaf(query.items))
+                assert oif.evaluate(QueryType.parse(query_type).leaf(query.items)) == expected
+                assert inverted.evaluate(QueryType.parse(query_type).leaf(query.items)) == expected
                 assert expected, "the workload generator must produce non-empty answers"
 
     def test_msweb_pipeline_with_runner(self):
@@ -73,8 +75,8 @@ class TestGenerateIndexQueryPipeline:
             wrapper.flush()
             oracle = NaiveScanIndex(wrapper.dataset)
             probe = next(iter(extra)).items
-            assert wrapper.subset_query(probe) == oracle.subset_query(probe)
-            assert wrapper.superset_query(probe) == oracle.superset_query(probe)
+            assert wrapper.evaluate(Subset(probe)) == oracle.evaluate(Subset(probe))
+            assert wrapper.evaluate(Superset(probe)) == oracle.evaluate(Superset(probe))
 
 
 class TestScalingBehaviour:

@@ -150,8 +150,8 @@ def test_pending_delta_matches_threaded(transactions, inserts, expr):
 
         # Pending deltas and tombstones merge in the parent; workers only
         # ever see base shards.
-        r_t, _ = twin.evaluate_detail(expr)
-        r_p, _ = up.evaluate_detail(expr)
+        r_t, _, _ = twin.measured_evaluate(expr)
+        r_p, _, _ = up.measured_evaluate(expr)
         assert r_p == r_t
         limited = Limit(expr, count=3, offset=1)
         assert up.evaluate(limited) == twin.evaluate(limited)
@@ -160,8 +160,8 @@ def test_pending_delta_matches_threaded(transactions, inserts, expr):
         # pool; answers keep matching afterwards.
         twin.flush()
         up.flush()
-        r_t2, _ = twin.evaluate_detail(expr)
-        r_p2, _ = up.evaluate_detail(expr)
+        r_t2, _, _ = twin.measured_evaluate(expr)
+        r_p2, _, _ = up.measured_evaluate(expr)
         assert r_p2 == r_t2
     finally:
         pool.close()
@@ -226,13 +226,13 @@ def test_worker_respawn_preserves_refreshed_shards():
         up.insert([{ITEMS[0], ITEMS[5]}])
         up.flush()  # re-images the rebuilt shard(s)
         expr = Subset(frozenset({ITEMS[0]}))
-        expected, _ = up.evaluate_detail(expr)
+        expected, _, _ = up.measured_evaluate(expr)
         pids = pool.worker_pids()
         os.kill(pids[1], signal.SIGKILL)
         with pytest.raises(QueryError):
-            up.evaluate_detail(expr)
+            up.measured_evaluate(expr)
         # The respawned worker reopened the *refreshed* images, not stale ones.
-        after, _ = up.evaluate_detail(expr)
+        after, _, _ = up.measured_evaluate(expr)
         assert after == expected
     finally:
         pool.close()

@@ -11,6 +11,8 @@ import random
 from repro.core import Dataset
 from repro.errors import ServiceError
 from repro.service import IndexManager, QueryExecutor, ResultCache
+from repro.core.interfaces import QueryType
+from repro.core.query import Subset
 
 
 def sample_queries(dataset: Dataset, count: int, max_size: int, seed: int) -> list[frozenset]:
@@ -44,7 +46,8 @@ def test_execute_answers_match_the_oracle(serving, paper_oracle):
     _, _, executor = serving
     for query_type in ("subset", "equality", "superset"):
         outcome = executor.execute("paper", query_type, {"a", "b"})
-        assert list(outcome.record_ids) == paper_oracle.query(query_type, {"a", "b"})
+        expected = paper_oracle.evaluate(QueryType.parse(query_type).leaf({"a", "b"}))
+        assert list(outcome.record_ids) == expected
         assert outcome.query_type.value == query_type
         assert outcome.latency_ms >= 0.0
 
@@ -105,7 +108,7 @@ def test_batch_of_100_queries_matches_oracle(serving, dataset, paper_oracle):
     assert len(outcomes) == 100
     for items, outcome in zip(queries, outcomes):
         assert outcome.items == items, "results must come back in request order"
-        assert list(outcome.record_ids) == paper_oracle.query("subset", items)
+        assert list(outcome.record_ids) == paper_oracle.evaluate(Subset(items))
     assert executor.stats.queries == 100
 
 
@@ -117,10 +120,10 @@ def test_identical_inflight_queries_are_deduplicated(dataset):
     original_measured = entry.measured_expr
     evaluations = []
 
-    def slow_measured(expr, fanout_pool=None):
+    def slow_measured(expr):
         evaluations.append(expr)
         release.wait(timeout=5.0)
-        return original_measured(expr, fanout_pool=fanout_pool)
+        return original_measured(expr)
 
     entry.measured_expr = slow_measured
     with QueryExecutor(manager, cache=None, max_workers=4) as executor:
@@ -141,7 +144,7 @@ def test_concurrent_mixed_queries_from_many_threads(serving, dataset, paper_orac
     _, _, executor = serving
     queries = sample_queries(dataset, count=30, max_size=3, seed=7)
     expected = {
-        (query_type, items): paper_oracle.query(query_type, items)
+        (query_type, items): paper_oracle.evaluate(QueryType.parse(query_type).leaf(items))
         for items in queries
         for query_type in ("subset", "equality", "superset")
     }

@@ -14,7 +14,7 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, ServiceHTTPError
 from repro.service import ServiceClient, ServiceServer
 
 TRANSACTIONS = [
@@ -365,3 +365,53 @@ def test_update_invalidates_only_matching_expression_entries(expr_client):
     assert refreshed["cached"] is False
     assert new_id in refreshed["record_ids"]
     assert expr_client.query_expr("exprs", untouched)["cached"] is True
+
+
+def _status_of(client, path, payload) -> int:
+    """POST ``payload`` and return the HTTP status of the error it raises."""
+    with pytest.raises(ServiceHTTPError) as excinfo:
+        client._request("POST", path, payload)
+    return excinfo.value.status
+
+
+@pytest.mark.parametrize(
+    "options", [{"page_size": 0}, {"cache_bytes": -5}], ids=["page_size", "cache_bytes"]
+)
+def test_invalid_storage_options_map_to_400(client, options):
+    status = _status_of(
+        client,
+        "/indexes",
+        {"name": "storage-opts", "transactions": [["a"]], "options": options},
+    )
+    assert status == 400
+    # The failed create must not leak its name reservation.
+    client.create_index("storage-opts", transactions=[{"a"}])
+    client.drop_index("storage-opts")
+
+
+NESTED_ITEMS = (["a"], {"a": 1})
+
+
+@pytest.mark.parametrize("item", NESTED_ITEMS, ids=["array", "object"])
+def test_nested_items_in_queries_map_to_400(client, item):
+    leaf = {"op": "subset", "items": [item]}
+    assert _status_of(client, "/query", {"index": "web", "expr": leaf}) == 400
+    assert _status_of(
+        client, "/query", {"index": "web", "type": "subset", "items": [item]}
+    ) == 400
+    assert _status_of(
+        client, "/batch", {"index": "web", "queries": [{"expr": leaf}]}
+    ) == 400
+
+
+@pytest.mark.parametrize("item", NESTED_ITEMS, ids=["array", "object"])
+def test_nested_items_in_transactions_map_to_400(client, item):
+    before = client.indexes()
+    assert _status_of(
+        client, "/update", {"index": "web", "transactions": [["a", item]]}
+    ) == 400
+    assert _status_of(
+        client, "/indexes", {"name": "nested", "transactions": [["a", item]]}
+    ) == 400
+    # Nothing was stored: no pending update, no new index.
+    assert client.indexes() == before

@@ -19,6 +19,7 @@ from repro.core.shard import (
 from repro.core.updates import ShardedDeltaBuffer, UpdatableOIF, UpdatableShardedOIF
 from repro.errors import QueryError
 from repro.storage.stats import DiskModel, IOSnapshot
+from repro.core.interfaces import QueryType
 
 
 class TestPartitioners:
@@ -154,7 +155,8 @@ class TestShardedIndex:
         mono, sharded = sharded_pair
         items = sorted(sharded.dataset.vocabulary, key=str)[:3]
         for query_type in ("subset", "equality", "superset"):
-            assert sharded.query(query_type, items[:2]) == mono.query(query_type, items[:2])
+            leaf = QueryType.parse(query_type).leaf(items[:2])
+            assert sharded.evaluate(leaf) == mono.evaluate(leaf)
 
     def test_composite_expressions_match_the_monolithic_index(self, sharded_pair):
         mono, sharded = sharded_pair
@@ -236,14 +238,6 @@ class TestShardedIndex:
         with pytest.raises(QueryError, match="different disk models"):
             sharded.stats.disk_model
 
-    def test_parallel_build_matches_serial_build(self, larger_dataset):
-        serial = ShardedIndex(larger_dataset, 4)
-        parallel = ShardedIndex(larger_dataset, 4, max_workers=4)
-        item = sorted(larger_dataset.vocabulary, key=str)[0]
-        expr = Subset(frozenset([item]))
-        assert serial.evaluate(expr) == parallel.evaluate(expr)
-        assert serial.shard_record_counts() == parallel.shard_record_counts()
-
     def test_explain_renders_the_fanout_plan_without_io(self, sharded_pair):
         _, sharded = sharded_pair
         item = sorted(sharded.dataset.vocabulary, key=str)[0]
@@ -315,16 +309,20 @@ class TestShardedDeltaBuffer:
         assert [record.record_id for record in buffer.records] == list(range(6))
 
     def test_query_aggregates_across_buffers(self):
-        buffer = ShardedDeltaBuffer(RoundRobinPartitioner(2))
-        buffer.add(Record(1, frozenset("ab")))
-        buffer.add(Record(2, frozenset("a")))
-        assert buffer.query("subset", ["a"]) == [1, 2]
-        assert buffer.query("equality", ["a"]) == [2]
-        assert buffer.query("superset", ["a", "b"]) == [1, 2]
+        # Items new to the base shards, and round-robin striping puts the two
+        # pending records in different shard buffers: the answers must union
+        # both buffers.
+        base = Dataset.from_transactions([["z"], ["y"]])
+        sharded = UpdatableShardedOIF(base, 2, strategy="round_robin")
+        assert sharded.insert([["a", "b"], ["a"]]) == [3, 4]
+        assert sharded.pending_per_shard() == [1, 1]
+        assert sharded.evaluate(Subset(["a"])) == [3, 4]
+        assert sharded.evaluate(Equality(["a"])) == [4]
+        assert sharded.evaluate(Superset(["a", "b"])) == [3, 4]
         with pytest.raises(QueryError):
-            buffer.query("between", ["a"])
-        buffer.clear()
-        assert len(buffer) == 0
+            sharded.evaluate(QueryType.parse("between").leaf(["a"]))
+        sharded.delta.clear()
+        assert len(sharded.delta) == 0
 
 
 class TestUpdatableShardedOIF:
@@ -370,23 +368,11 @@ class TestUpdatableShardedOIF:
         expr = Or((Subset(frozenset(["a"])), Equality(frozenset(["a", "b"]))))
         assert sharded.evaluate(expr) == mono.evaluate(expr)
 
-    def test_parallel_flush_matches_serial_results(self, skewed_dataset):
-        serial = UpdatableShardedOIF(skewed_dataset, 4)
-        parallel = UpdatableShardedOIF(skewed_dataset, 4)
-        batch = [[item] for item in "abcdefgh"]
-        serial.insert(batch)
-        parallel.insert(batch)
-        serial.flush(max_workers=1)
-        parallel.flush(max_workers=4)
-        expr = Subset(frozenset(["a"]))
-        assert serial.evaluate(expr) == parallel.evaluate(expr)
-        assert serial.index.shard_record_counts() == parallel.index.shard_record_counts()
-
     def test_evaluate_detail_merges_delta_with_zero_page_cost(self, pair):
         _, sharded = pair
         sharded.insert([["a", "qq"]])
         expr = Subset(frozenset(["qq"]))
-        ids, stats = sharded.evaluate_detail(expr)
+        ids, _, stats = sharded.measured_evaluate(expr)
         assert ids == sharded.evaluate(expr)
         assert len(ids) == 1
         # The buffered record is memory resident: no shard reported it.

@@ -74,14 +74,6 @@ class TestManagerSharding:
         with pytest.raises(ServiceError, match="strategy"):
             manager.create("bad", dataset, kind="oif", shards=1, strategy="hash")
 
-    def test_build_workers_is_validated_like_shards(self, dataset):
-        manager = IndexManager()
-        with pytest.raises(ServiceError, match="build_workers"):
-            manager.create("bad", dataset, kind="oif", build_workers=2)
-        with pytest.raises(ServiceError, match="build_workers"):
-            manager.create("bad", dataset, kind="oif", shards=2, build_workers=0)
-        manager.create("good", dataset, kind="oif", shards=2, build_workers=2)
-
     def test_shards_1_builds_the_monolithic_handle(self, dataset):
         manager = IndexManager()
         entry = manager.create("one", dataset, kind="oif", shards=1)
@@ -107,12 +99,10 @@ class TestManagerSharding:
         assert entry.evaluate(expr) == manager.get("mono").evaluate(expr)
 
     def test_fanout_borrows_the_caller_pool_without_deadlock(self, dataset):
-        """Sharded fan-out shares the query pool; saturation runs tasks inline.
+        """A 1-worker executor answers sharded queries.
 
-        Regression for the removed per-entry fan-out pool: even a 1-worker
-        executor — where the submitting worker IS the whole pool — must
-        answer sharded queries (the fan-out tasks are cancelled off the full
-        queue and executed by the caller itself).
+        The worker thread that runs the query visits every shard itself, so
+        the executor's pool size never limits shard fan-out.
         """
         manager = IndexManager()
         manager.create("s", dataset, kind="oif", shards=4)

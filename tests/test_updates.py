@@ -11,6 +11,8 @@ from repro.core import Dataset
 from repro.core.updates import DeltaInvertedFile, UpdatableIF, UpdatableOIF
 from repro.core.records import Record
 from repro.errors import QueryError
+from repro.core.interfaces import QueryType
+from repro.core.query import Equality, Subset, Superset
 from tests.conftest import make_skewed_transactions
 
 
@@ -28,26 +30,27 @@ def fresh_transactions():
 
 class TestDeltaInvertedFile:
     def test_queries_over_buffered_records(self):
-        delta = DeltaInvertedFile()
-        delta.add(Record(10, frozenset({"a", "b"})))
-        delta.add(Record(11, frozenset({"a"})))
-        delta.add(Record(12, frozenset({"b", "c"})))
-        assert delta.subset_query({"a"}) == [10, 11]
-        assert delta.equality_query({"a"}) == [11]
-        assert delta.superset_query({"a", "b"}) == [10, 11]
-        assert len(delta) == 3
+        # Every item of the buffered records is new to the base index, so the
+        # answers come from the pending delta alone.
+        wrapper = UpdatableOIF(Dataset.from_transactions([{"z"}]))
+        assert wrapper.insert([{"a", "b"}, {"a"}, {"b", "c"}]) == [2, 3, 4]
+        assert len(wrapper.delta) == 3
+        assert wrapper.evaluate(Subset({"a"})) == [2, 3]
+        assert wrapper.evaluate(Equality({"a"})) == [3]
+        assert wrapper.evaluate(Superset({"a", "b"})) == [2, 3]
 
     def test_clear(self):
         delta = DeltaInvertedFile()
         delta.add(Record(1, frozenset({"a"})))
         delta.clear()
         assert len(delta) == 0
-        assert delta.subset_query({"a"}) == []
+        assert delta.records == []
 
     def test_unknown_query_type_rejected(self):
-        delta = DeltaInvertedFile()
+        wrapper = UpdatableOIF(Dataset.from_transactions([{"z"}]))
+        wrapper.insert([{"a"}])
         with pytest.raises(QueryError):
-            delta.query("between", {"a"})
+            wrapper.evaluate(QueryType.parse("between").leaf({"a"}))
 
     def test_records_property_sorted_by_id(self):
         delta = DeltaInvertedFile()
@@ -62,7 +65,7 @@ class TestUpdatableIndexes:
         wrapper = wrapper_class(base_dataset)
         new_ids = wrapper.insert([{"a", "b"}])
         assert wrapper.pending_updates == 1
-        result = wrapper.subset_query({"a", "b"})
+        result = wrapper.evaluate(Subset({"a", "b"}))
         assert new_ids[0] in result
 
     @pytest.mark.parametrize("wrapper_class", [UpdatableOIF, UpdatableIF])
@@ -70,7 +73,7 @@ class TestUpdatableIndexes:
         wrapper = wrapper_class(base_dataset)
         wrapper.insert(fresh_transactions)
         answers_before = {
-            query_type: wrapper.__getattribute__(f"{query_type}_query")({"a", "b"})
+            query_type: wrapper.evaluate(QueryType.parse(query_type).leaf({"a", "b"}))
             for query_type in ("subset", "equality", "superset")
         }
         report = wrapper.flush()
@@ -78,7 +81,7 @@ class TestUpdatableIndexes:
         assert report.records_merged == len(fresh_transactions)
         assert report.merge_seconds > 0
         for query_type, before in answers_before.items():
-            after = wrapper.__getattribute__(f"{query_type}_query")({"a", "b"})
+            after = wrapper.evaluate(QueryType.parse(query_type).leaf({"a", "b"}))
             assert after == before
 
     @pytest.mark.parametrize("wrapper_class", [UpdatableOIF, UpdatableIF])
@@ -92,9 +95,8 @@ class TestUpdatableIndexes:
         for _ in range(25):
             query = set(rng.sample(vocabulary, rng.randint(1, 4)))
             for query_type in ("subset", "equality", "superset"):
-                assert wrapper.__getattribute__(f"{query_type}_query")(query) == oracle.query(
-                    query_type, query
-                )
+                leaf = QueryType.parse(query_type).leaf(query)
+                assert wrapper.evaluate(leaf) == oracle.evaluate(leaf)
 
     def test_empty_insert_rejected(self, base_dataset):
         wrapper = UpdatableOIF(base_dataset)
